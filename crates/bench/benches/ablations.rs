@@ -68,11 +68,9 @@ fn bench_ablations(c: &mut Criterion) {
     });
 
     // Variable lookup discipline, head to head on the classic recursion
-    // benchmarks. `string-compare` reconstructs the pre-interning seed
-    // (full string comparison per frame, linear primitive scan);
-    // `interned-symbol` is one u32 compare per frame; `lexical-address`
-    // follows resolver-computed (depth, slot) addresses — no comparisons.
-    // The lexical row evaluates a *pre-resolved* tree: resolution is a
+    // benchmarks. `interned-symbol` is one u32 compare per frame;
+    // `lexical-address` follows resolver-computed (depth, slot) addresses
+    // — no comparisons. The lexical row evaluates a *pre-resolved* tree: resolution is a
     // one-time pass (hoisted out of the timed loop exactly like `compile`
     // below), and `BySymbol` stops `eval_with` from redundantly
     // re-resolving per iteration — the `VarAt` nodes take the address
@@ -85,7 +83,6 @@ fn bench_ablations(c: &mut Criterion) {
     for (name, program, expected) in &workloads {
         let resolved = resolve_closed(program);
         for (mode_name, mode, program) in [
-            ("string-compare", LookupMode::ByString, program),
             ("interned-symbol", LookupMode::BySymbol, program),
             ("lexical-address", LookupMode::BySymbol, &resolved),
         ] {

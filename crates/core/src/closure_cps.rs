@@ -7,14 +7,17 @@
 //!
 //! 1. **Fidelity** — it demonstrates that the defunctionalized
 //!    [`machine`](crate::machine) computes the same function as a direct
-//!    reading of Figure 2 (the test suite runs both on the same programs);
+//!    reading of Figure 2 (the test suite runs both on the same programs).
+//!    It shares no transition code with the machine, so it is the
+//!    independent standard-semantics oracle of the Theorem 7.7 checks
+//!    (`monsem_monitor::soundness`). It does not evaluate `par`, so those
+//!    checks run on par-free programs;
 //! 2. **Ablation** — `monsem-bench` compares closure continuations against
 //!    defunctionalized frames (DESIGN.md §5).
 
 use crate::env::{Env, LetrecPlan};
 use crate::error::EvalError;
-use crate::machine::{constant, EvalOptions, LookupMode};
-use crate::resolve::resolve_for;
+use crate::machine::{constant, prepare, EvalOptions};
 use crate::value::{Closure, Value};
 use monsem_syntax::Expr;
 use std::rc::Rc;
@@ -194,11 +197,11 @@ pub fn eval_cps(expr: &Expr) -> Result<Value, EvalError> {
 pub fn eval_cps_with(expr: &Expr, env: &Env, options: &EvalOptions) -> Result<Value, EvalError> {
     // κ_init = {λv. φ v} with φ the identity here; answer algebras are
     // applied by callers (see `answer`).
-    let program = match options.lookup {
-        LookupMode::ByAddress => Arc::new(resolve_for(expr, env)),
-        LookupMode::BySymbol | LookupMode::ByString => Arc::new(expr.clone()),
-    };
-    let mut bounce = step(program, env.clone(), Box::new(|v| Bounce::Done(Ok(v))));
+    let mut bounce = step(
+        prepare(expr, env, options),
+        env.clone(),
+        Box::new(|v| Bounce::Done(Ok(v))),
+    );
     let mut fuel = options.fuel;
     loop {
         match bounce {

@@ -16,7 +16,7 @@
 //!
 //! # Lookup fast paths
 //!
-//! Three lookup disciplines coexist, fastest first:
+//! Two lookup disciplines coexist, fastest first:
 //!
 //! * [`Env::lookup_addr`] — follows a [`VarAddr`] computed by the static
 //!   resolver (`crate::resolve`): pointer hops and an indexed read, **zero
@@ -25,11 +25,7 @@
 //!   `u32` compare per frame) and finishes with a hashed primitive lookup;
 //!   used for occurrences the resolver could not address (free variables
 //!   of dynamically-shaped `letrec` value bindings, REPL-style
-//!   environments) and for monitors reading variables by name;
-//! * [`Env::lookup_str`] — re-creates the pre-interning behaviour (full
-//!   string comparison per frame, linear primitive scan) and exists only
-//!   so the `ablation_environments` benchmark can measure what the fast
-//!   paths buy.
+//!   environments) and for monitors reading variables by name.
 
 use crate::prims::Prim;
 use crate::value::{Closure, Value};
@@ -163,36 +159,6 @@ impl Env {
             body: lam.body.clone(),
             env: self.clone(),
         }))
-    }
-
-    /// Pre-interning lookup, kept verbatim for the environments ablation:
-    /// a full string comparison per frame and a linear scan of the
-    /// primitive table at the bottom. Semantically identical to
-    /// [`Env::lookup`]; never use it outside benchmarks.
-    pub fn lookup_str(&self, name: &Ident) -> Option<Value> {
-        let text = name.as_str();
-        let mut cur = self;
-        loop {
-            match cur.0.as_deref() {
-                Some(Node::Frame {
-                    name: n,
-                    value,
-                    parent,
-                }) => {
-                    if n.as_str() == text {
-                        return Some(value.clone());
-                    }
-                    cur = parent;
-                }
-                Some(Node::Rec { bindings, parent }) => {
-                    if let Some(slot) = bindings.iter().position(|(n, _)| n.as_str() == text) {
-                        return Some(cur.rec_closure(bindings, slot));
-                    }
-                    cur = parent;
-                }
-                None => return Prim::by_name(text).map(Value::prim),
-            }
-        }
     }
 
     /// Depth of the environment chain (frames, not bindings) — useful for

@@ -7,11 +7,18 @@
 //! capture location-bearing environments, so mutation is visible through
 //! captured variables — the behaviour a Pascal-style monitor like Magpie's
 //! demons (§8) observes.
+//!
+//! One machine serves both semantics. [`eval_monitored_imperative`] is the
+//! Definition 4.2 construction; its monitoring functions receive a
+//! [`Scope`] that carries the store, so a monitor can observe the *current
+//! contents* of mutable variables. [`eval_imperative`] runs the same
+//! machine with [`NoMonitor`], which accepts no annotation.
 
 use crate::env::{Env, LetrecPlan};
 use crate::error::EvalError;
-use crate::machine::{constant, EvalOptions, LookupMode};
-use crate::resolve::resolve_for;
+use crate::machine::{constant, prepare, EvalOptions};
+use crate::scope::Scope;
+use crate::spec::{HookPhase, Monitor, NoMonitor, Outcome};
 use crate::value::{Closure, Value};
 use monsem_syntax::{Expr, Ident};
 use std::rc::Rc;
@@ -99,6 +106,13 @@ enum Frame {
         body: Arc<Expr>,
         env: Env,
     },
+    /// `κ_post`: apply the post-monitoring function, with the store in
+    /// scope, to the value of the annotated expression; `node` is the
+    /// `{μ}:e` node itself.
+    Post {
+        node: Arc<Expr>,
+        env: Env,
+    },
 }
 
 enum State {
@@ -127,14 +141,45 @@ pub fn eval_imperative_with(
     env: &Env,
     options: &EvalOptions,
 ) -> Result<(Value, Store), EvalError> {
+    eval_monitored_imperative_with(expr, env, &NoMonitor, (), options).map(|(v, (), s)| (v, s))
+}
+
+/// Evaluates the annotated program imperatively under monitor `m`.
+///
+/// # Errors
+///
+/// Any [`EvalError`] the program provokes.
+pub fn eval_monitored_imperative<M: Monitor>(
+    expr: &Expr,
+    monitor: &M,
+) -> Result<(Value, M::State), EvalError> {
+    eval_monitored_imperative_with(
+        expr,
+        &Env::empty(),
+        monitor,
+        monitor.initial_state(),
+        &EvalOptions::default(),
+    )
+    .map(|(v, s, _)| (v, s))
+}
+
+/// Full-control variant of [`eval_monitored_imperative`]; also returns the
+/// final store.
+///
+/// # Errors
+///
+/// Any [`EvalError`], including [`EvalError::FuelExhausted`].
+pub fn eval_monitored_imperative_with<M: Monitor>(
+    expr: &Expr,
+    env: &Env,
+    monitor: &M,
+    sigma: M::State,
+    options: &EvalOptions,
+) -> Result<(Value, M::State, Store), EvalError> {
     let mut store = Store::new();
     let mut stack: Vec<Frame> = Vec::new();
-    let program = match options.lookup {
-        LookupMode::ByAddress => Arc::new(resolve_for(expr, env)),
-        LookupMode::BySymbol | LookupMode::ByString => Arc::new(expr.clone()),
-    };
-    let by_string = options.lookup == LookupMode::ByString;
-    let mut state = State::Eval(program, env.clone());
+    let mut state = State::Eval(prepare(expr, env, options), env.clone());
+    let mut sigma = sigma;
     let mut fuel = options.fuel;
 
     loop {
@@ -145,28 +190,38 @@ pub fn eval_imperative_with(
 
         state = match state {
             State::Eval(expr, env) => match &*expr {
-                Expr::Con(c) => State::Continue(constant(c)),
-                Expr::Par(..) => {
-                    return Err(EvalError::UnsupportedConstruct(
-                        "par (only the strict machines evaluate it)",
-                    ))
+                Expr::Ann(ann, inner) => {
+                    if monitor.accepts(ann) {
+                        if monitor.accepts_event(ann, HookPhase::Pre) {
+                            sigma = match monitor.try_pre(
+                                ann,
+                                inner,
+                                &Scope::with_store(&env, &store),
+                                sigma,
+                            ) {
+                                Outcome::Continue(s) => s,
+                                Outcome::Abort {
+                                    monitor, reason, ..
+                                } => return Err(EvalError::MonitorAbort { monitor, reason }),
+                            };
+                        }
+                        stack.push(Frame::Post {
+                            node: expr.clone(),
+                            env: env.clone(),
+                        });
+                    }
+                    State::Eval(inner.clone(), env)
                 }
+                Expr::Con(c) => State::Continue(constant(c)),
                 Expr::VarAt(_, addr) => match env.lookup_addr(addr) {
                     Value::Loc(l) => State::Continue(store.read(l).clone()),
                     v => State::Continue(v),
                 },
-                Expr::Var(x) => {
-                    let v = if by_string {
-                        env.lookup_str(x)
-                    } else {
-                        env.lookup(x)
-                    };
-                    match v {
-                        Some(Value::Loc(l)) => State::Continue(store.read(l).clone()),
-                        Some(v) => State::Continue(v),
-                        None => return Err(EvalError::UnboundVariable(x.clone())),
-                    }
-                }
+                Expr::Var(x) => match env.lookup(x) {
+                    Some(Value::Loc(l)) => State::Continue(store.read(l).clone()),
+                    Some(v) => State::Continue(v),
+                    None => return Err(EvalError::UnboundVariable(x.clone())),
+                },
                 Expr::Lambda(l) => State::Continue(Value::Closure(Rc::new(Closure {
                     param: l.param.clone(),
                     body: l.body.clone(),
@@ -215,13 +270,17 @@ pub fn eval_imperative_with(
                         State::Eval(first, env)
                     }
                 }
-                Expr::Ann(_, inner) => State::Eval(inner.clone(), env),
                 Expr::Seq(a, b) => {
                     stack.push(Frame::Discard {
                         second: b.clone(),
                         env: env.clone(),
                     });
                     State::Eval(a.clone(), env)
+                }
+                Expr::Par(..) => {
+                    return Err(EvalError::UnsupportedConstruct(
+                        "par (only the strict machines evaluate it)",
+                    ))
                 }
                 Expr::Assign(x, e) => match env.lookup(x) {
                     Some(Value::Loc(l)) => {
@@ -241,7 +300,27 @@ pub fn eval_imperative_with(
                 }
             },
             State::Continue(value) => match stack.pop() {
-                None => return Ok((value, store)),
+                None => return Ok((value, sigma, store)),
+                Some(Frame::Post { node, env }) => {
+                    let Expr::Ann(ann, expr) = &*node else {
+                        return Err(EvalError::Internal("post frame without an annotation"));
+                    };
+                    if monitor.accepts_event(ann, HookPhase::Post) {
+                        sigma = match monitor.try_post(
+                            ann,
+                            expr,
+                            &Scope::with_store(&env, &store),
+                            &value,
+                            sigma,
+                        ) {
+                            Outcome::Continue(s) => s,
+                            Outcome::Abort {
+                                monitor, reason, ..
+                            } => return Err(EvalError::MonitorAbort { monitor, reason }),
+                        };
+                    }
+                    State::Continue(value)
+                }
                 Some(Frame::Arg { func, env }) => {
                     stack.push(Frame::Apply { arg: value });
                     State::Eval(func, env)
@@ -338,7 +417,7 @@ pub fn eval_imperative_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monsem_syntax::parse_expr;
+    use monsem_syntax::{parse_expr, Annotation};
 
     fn run_imp(src: &str) -> Result<Value, EvalError> {
         eval_imperative(&parse_expr(src).expect("parses"))
@@ -427,5 +506,112 @@ mod tests {
             eval_imperative_with(&e, &Env::empty(), &EvalOptions::with_fuel(1000)).map(|(v, _)| v),
             Err(EvalError::FuelExhausted)
         );
+    }
+
+    /// Watches a named mutable variable at annotated points: records its
+    /// current store contents at each `pre` event.
+    #[derive(Debug, Clone)]
+    struct Watch(Ident);
+    impl Monitor for Watch {
+        type State = Vec<Value>;
+        fn name(&self) -> &str {
+            "watch"
+        }
+        fn initial_state(&self) -> Vec<Value> {
+            Vec::new()
+        }
+        fn pre(
+            &self,
+            _: &Annotation,
+            _: &Expr,
+            scope: &Scope<'_>,
+            mut s: Vec<Value>,
+        ) -> Vec<Value> {
+            if let Some(v) = scope.lookup(&self.0) {
+                s.push(v);
+            }
+            s
+        }
+    }
+
+    #[test]
+    fn monitor_observes_mutation_through_the_store() {
+        let e = parse_expr("let n = 0 in while n < 3 do {tick}:(n := n + 1) end; n").unwrap();
+        let (v, seen) = eval_monitored_imperative(&e, &Watch(Ident::new("n"))).unwrap();
+        assert_eq!(v, Value::Int(3));
+        assert_eq!(seen, vec![Value::Int(0), Value::Int(1), Value::Int(2)]);
+    }
+
+    #[test]
+    fn answers_match_the_unmonitored_imperative_machine() {
+        let src = "let n = 5 in let acc = 1 in \
+                   (while n > 0 do {step}:(acc := acc * n); n := n - 1 end); acc";
+        let e = parse_expr(src).unwrap();
+        let (v, _) = eval_monitored_imperative(&e, &Watch(Ident::new("acc"))).unwrap();
+        assert_eq!(Ok(v), eval_imperative(&e));
+        let (v, ()) = eval_monitored_imperative(&e, &NoMonitor).unwrap();
+        assert_eq!(Ok(v), eval_imperative(&e));
+    }
+
+    #[test]
+    fn abort_verdict_stops_imperative_evaluation_mid_loop() {
+        /// Aborts as soon as the watched variable's store contents exceed
+        /// the bound — a §8 demon with teeth, reading through the store.
+        #[derive(Debug, Clone)]
+        struct Ceiling(Ident, i64);
+        impl Monitor for Ceiling {
+            type State = ();
+            fn name(&self) -> &str {
+                "ceiling"
+            }
+            fn initial_state(&self) {}
+            fn try_pre(&self, _: &Annotation, _: &Expr, scope: &Scope<'_>, _: ()) -> Outcome<()> {
+                if let Some(Value::Int(n)) = scope.lookup(&self.0) {
+                    if n > self.1 {
+                        return Outcome::abort((), "ceiling", format!("{} reached {n}", self.0));
+                    }
+                }
+                Outcome::Continue(())
+            }
+        }
+        let e = parse_expr("let n = 0 in while true do {tick}:(n := n + 1) end; n").unwrap();
+        assert_eq!(
+            eval_monitored_imperative(&e, &Ceiling(Ident::new("n"), 2)).unwrap_err(),
+            EvalError::MonitorAbort {
+                monitor: "ceiling".into(),
+                reason: "n reached 3".into(),
+            }
+        );
+    }
+
+    #[test]
+    fn post_sees_the_assignment_result() {
+        #[derive(Debug, Clone)]
+        struct PostVals;
+        impl Monitor for PostVals {
+            type State = Vec<String>;
+            fn name(&self) -> &str {
+                "post-vals"
+            }
+            fn initial_state(&self) -> Vec<String> {
+                Vec::new()
+            }
+            fn post(
+                &self,
+                _: &Annotation,
+                _: &Expr,
+                scope: &Scope<'_>,
+                v: &Value,
+                mut s: Vec<String>,
+            ) -> Vec<String> {
+                s.push(format!("{v} with x = {}", scope.render(&Ident::new("x"))));
+                s
+            }
+        }
+        let e = parse_expr("let x = 1 in {w}:(x := 2); x").unwrap();
+        let (v, log) = eval_monitored_imperative(&e, &PostVals).unwrap();
+        assert_eq!(v, Value::Int(2));
+        // The assignment returns unit; the store already holds 2.
+        assert_eq!(log, vec!["() with x = 2".to_string()]);
     }
 }

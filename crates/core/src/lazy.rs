@@ -10,12 +10,22 @@
 //! are built from forced values, so laziness lives exactly in *bindings*:
 //! an argument that is never used is never evaluated. Self-dependent
 //! values are detected as [`EvalError::BlackHole`].
+//!
+//! One machine serves both semantics. [`eval_monitored_lazy`] is the
+//! Definition 4.2 construction: one extra transition for `{μ}:e` and one
+//! `κ_post` frame; everything else is the standard clause.
+//! [`eval_lazy`] runs the same machine with [`NoMonitor`], which accepts no
+//! annotation. Note that under call-by-need an annotation inside a
+//! never-forced binding never fires — monitoring reflects the actual
+//! demand-driven evaluation order, which is precisely what a lazy tracer
+//! is for.
 
 use crate::env::{Env, LetrecPlan};
 use crate::error::EvalError;
-use crate::machine::{constant, EvalOptions, LookupMode};
+use crate::machine::{constant, prepare, EvalOptions};
 use crate::prims::Prim;
-use crate::resolve::resolve_for;
+use crate::scope::Scope;
+use crate::spec::{HookPhase, Monitor, NoMonitor, Outcome};
 use crate::value::{Closure, ThunkRef, ThunkState, Value};
 use monsem_syntax::{Binding, Expr};
 use std::cell::RefCell;
@@ -45,6 +55,9 @@ enum Frame {
     },
     /// Discard and evaluate the second expression of a sequence.
     Discard { second: Arc<Expr>, env: Env },
+    /// `κ_post`: apply the post-monitoring function to the value of the
+    /// annotated expression; `node` is the `{μ}:e` node itself.
+    Post { node: Arc<Expr>, env: Env },
 }
 
 enum State {
@@ -68,13 +81,42 @@ pub fn eval_lazy(expr: &Expr) -> Result<Value, EvalError> {
 ///
 /// Same as [`eval_lazy`], plus [`EvalError::FuelExhausted`].
 pub fn eval_lazy_with(expr: &Expr, env: &Env, options: &EvalOptions) -> Result<Value, EvalError> {
+    eval_monitored_lazy_with(expr, env, &NoMonitor, (), options).map(|(v, ())| v)
+}
+
+/// Evaluates the annotated program call-by-need under monitor `m`.
+///
+/// # Errors
+///
+/// Any [`EvalError`] the program provokes.
+pub fn eval_monitored_lazy<M: Monitor>(
+    expr: &Expr,
+    monitor: &M,
+) -> Result<(Value, M::State), EvalError> {
+    eval_monitored_lazy_with(
+        expr,
+        &Env::empty(),
+        monitor,
+        monitor.initial_state(),
+        &EvalOptions::default(),
+    )
+}
+
+/// Full-control variant of [`eval_monitored_lazy`].
+///
+/// # Errors
+///
+/// Any [`EvalError`], including [`EvalError::FuelExhausted`].
+pub fn eval_monitored_lazy_with<M: Monitor>(
+    expr: &Expr,
+    env: &Env,
+    monitor: &M,
+    sigma: M::State,
+    options: &EvalOptions,
+) -> Result<(Value, M::State), EvalError> {
     let mut stack: Vec<Frame> = Vec::new();
-    let program = match options.lookup {
-        LookupMode::ByAddress => Arc::new(resolve_for(expr, env)),
-        LookupMode::BySymbol | LookupMode::ByString => Arc::new(expr.clone()),
-    };
-    let by_string = options.lookup == LookupMode::ByString;
-    let mut state = State::Eval(program, env.clone());
+    let mut state = State::Eval(prepare(expr, env, options), env.clone());
+    let mut sigma = sigma;
     let mut fuel = options.fuel;
 
     loop {
@@ -85,23 +127,33 @@ pub fn eval_lazy_with(expr: &Expr, env: &Env, options: &EvalOptions) -> Result<V
 
         state = match state {
             State::Eval(expr, env) => match &*expr {
+                Expr::Ann(ann, inner) => {
+                    if monitor.accepts(ann) {
+                        if monitor.accepts_event(ann, HookPhase::Pre) {
+                            sigma = match monitor.try_pre(ann, inner, &Scope::pure(&env), sigma) {
+                                Outcome::Continue(s) => s,
+                                Outcome::Abort {
+                                    monitor, reason, ..
+                                } => return Err(EvalError::MonitorAbort { monitor, reason }),
+                            };
+                        }
+                        stack.push(Frame::Post {
+                            node: expr.clone(),
+                            env: env.clone(),
+                        });
+                    }
+                    State::Eval(inner.clone(), env)
+                }
                 Expr::Con(c) => State::Continue(constant(c)),
                 Expr::VarAt(_, addr) => match env.lookup_addr(addr) {
                     Value::Thunk(t) => force(t, &mut stack)?,
                     v => State::Continue(v),
                 },
-                Expr::Var(x) => {
-                    let v = if by_string {
-                        env.lookup_str(x)
-                    } else {
-                        env.lookup(x)
-                    };
-                    match v {
-                        Some(Value::Thunk(t)) => force(t, &mut stack)?,
-                        Some(v) => State::Continue(v),
-                        None => return Err(EvalError::UnboundVariable(x.clone())),
-                    }
-                }
+                Expr::Var(x) => match env.lookup(x) {
+                    Some(Value::Thunk(t)) => force(t, &mut stack)?,
+                    Some(v) => State::Continue(v),
+                    None => return Err(EvalError::UnboundVariable(x.clone())),
+                },
                 Expr::Lambda(l) => State::Continue(Value::Closure(Rc::new(Closure {
                     param: l.param.clone(),
                     body: l.body.clone(),
@@ -127,7 +179,6 @@ pub fn eval_lazy_with(expr: &Expr, env: &Env, options: &EvalOptions) -> Result<V
                     State::Eval(b.clone(), env.extend(x.clone(), t))
                 }
                 Expr::Letrec(bs, body) => State::Eval(body.clone(), letrec_env(bs, &env)),
-                Expr::Ann(_, inner) => State::Eval(inner.clone(), env),
                 Expr::Seq(a, b) => {
                     stack.push(Frame::Discard {
                         second: b.clone(),
@@ -135,16 +186,31 @@ pub fn eval_lazy_with(expr: &Expr, env: &Env, options: &EvalOptions) -> Result<V
                     });
                     State::Eval(a.clone(), env)
                 }
-                Expr::Assign(..) => return Err(EvalError::UnsupportedConstruct("assignment")),
-                Expr::While(..) => return Err(EvalError::UnsupportedConstruct("while")),
                 Expr::Par(..) => {
                     return Err(EvalError::UnsupportedConstruct(
                         "par (only the strict machines evaluate it)",
                     ))
                 }
+                Expr::Assign(..) => return Err(EvalError::UnsupportedConstruct("assignment")),
+                Expr::While(..) => return Err(EvalError::UnsupportedConstruct("while")),
             },
             State::Continue(value) => match stack.pop() {
-                None => return Ok(value),
+                None => return Ok((value, sigma)),
+                Some(Frame::Post { node, env }) => {
+                    let Expr::Ann(ann, expr) = &*node else {
+                        return Err(EvalError::Internal("post frame without an annotation"));
+                    };
+                    if monitor.accepts_event(ann, HookPhase::Post) {
+                        sigma = match monitor.try_post(ann, expr, &Scope::pure(&env), &value, sigma)
+                        {
+                            Outcome::Continue(s) => s,
+                            Outcome::Abort {
+                                monitor, reason, ..
+                            } => return Err(EvalError::MonitorAbort { monitor, reason }),
+                        };
+                    }
+                    State::Continue(value)
+                }
                 Some(Frame::ApplyTo { arg, env }) => match value {
                     Value::Closure(c) => {
                         let t = suspend(arg, env);
@@ -305,7 +371,7 @@ fn letrec_env(bs: &[Binding], env: &Env) -> Env {
 mod tests {
     use super::*;
     use crate::machine::eval;
-    use monsem_syntax::{parse_expr, Ident};
+    use monsem_syntax::{parse_expr, Annotation, Ident};
 
     fn run_lazy(src: &str) -> Result<Value, EvalError> {
         eval_lazy(&parse_expr(src).expect("parses"))
@@ -394,6 +460,119 @@ mod tests {
         assert_eq!(
             run_lazy("letrec a = 1 + 1 in letrec b = a * 10 in b"),
             Ok(Value::Int(20))
+        );
+    }
+
+    #[derive(Debug, Clone, Default)]
+    struct Log;
+    impl Monitor for Log {
+        type State = Vec<String>;
+        fn name(&self) -> &str {
+            "log"
+        }
+        fn initial_state(&self) -> Vec<String> {
+            Vec::new()
+        }
+        fn pre(&self, a: &Annotation, _: &Expr, _: &Scope<'_>, mut s: Vec<String>) -> Vec<String> {
+            s.push(format!("pre {}", a.name()));
+            s
+        }
+        fn post(
+            &self,
+            a: &Annotation,
+            _: &Expr,
+            _: &Scope<'_>,
+            v: &Value,
+            mut s: Vec<String>,
+        ) -> Vec<String> {
+            s.push(format!("post {} = {v}", a.name()));
+            s
+        }
+    }
+
+    #[test]
+    fn answers_match_the_unmonitored_lazy_machine() {
+        let e = parse_expr(
+            "letrec fac = lambda x. {f}:if x = 0 then 1 else x * (fac (x - 1)) in fac 5",
+        )
+        .unwrap();
+        let (v, _) = eval_monitored_lazy(&e, &Log).unwrap();
+        assert_eq!(Ok(v), eval_lazy(&e));
+        let (v, ()) = eval_monitored_lazy(&e, &NoMonitor).unwrap();
+        assert_eq!(Ok(v), eval_lazy(&e));
+    }
+
+    #[test]
+    fn unused_annotated_argument_never_fires_the_monitor() {
+        let e = parse_expr("(lambda x. 1) ({never}:(2 + 3))").unwrap();
+        let (v, log) = eval_monitored_lazy(&e, &Log).unwrap();
+        assert_eq!(v, Value::Int(1));
+        assert!(log.is_empty(), "monitor fired on unused binding: {log:?}");
+    }
+
+    #[test]
+    fn forced_annotated_argument_fires_exactly_once_despite_two_uses() {
+        let e = parse_expr("(lambda x. x + x) ({once}:(2 + 3))").unwrap();
+        let (v, log) = eval_monitored_lazy(&e, &Log).unwrap();
+        assert_eq!(v, Value::Int(10));
+        assert_eq!(
+            log,
+            vec!["pre once".to_string(), "post once = 5".to_string()]
+        );
+    }
+
+    #[test]
+    fn abort_verdict_stops_lazy_evaluation() {
+        #[derive(Debug)]
+        struct NoBigValues;
+        impl Monitor for NoBigValues {
+            type State = ();
+            fn name(&self) -> &str {
+                "no-big"
+            }
+            fn initial_state(&self) {}
+            fn try_post(
+                &self,
+                _: &Annotation,
+                _: &Expr,
+                _: &Scope<'_>,
+                v: &Value,
+                _: (),
+            ) -> Outcome<()> {
+                if matches!(v, Value::Int(i) if *i > 10) {
+                    return Outcome::abort((), "no-big", format!("saw {v}"));
+                }
+                Outcome::Continue(())
+            }
+        }
+        let e = parse_expr("let x = {x}:(6 * 7) in x + 1").unwrap();
+        assert_eq!(
+            eval_monitored_lazy(&e, &NoBigValues).unwrap_err(),
+            EvalError::MonitorAbort {
+                monitor: "no-big".into(),
+                reason: "saw 42".into(),
+            }
+        );
+        // A never-demanded annotation never gets the chance to abort.
+        let e = parse_expr("let x = {x}:(6 * 7) in 1").unwrap();
+        assert_eq!(
+            eval_monitored_lazy(&e, &NoBigValues).unwrap(),
+            (Value::Int(1), ())
+        );
+    }
+
+    #[test]
+    fn demand_order_shows_in_the_event_log() {
+        // `y` is demanded before `x` because `+` forces left-to-right but
+        // the outer expression is `y + x`... make it explicit:
+        let e = parse_expr("let x = {x}:1 in let y = {y}:2 in y + x").unwrap();
+        let (_, log) = eval_monitored_lazy(&e, &Log).unwrap();
+        assert_eq!(
+            log,
+            vec!["pre y", "post y = 2", "pre x", "post x = 1"]
+                .into_iter()
+                .map(String::from)
+                .collect::<Vec<_>>()
         );
     }
 }

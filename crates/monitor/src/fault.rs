@@ -27,9 +27,9 @@
 
 use crate::scope::Scope;
 use crate::spec::{MergeMonitor, Monitor, Outcome};
+pub use monsem_core::spec::Health;
 use monsem_core::Value;
 use monsem_syntax::{Annotation, Expr};
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,43 +84,6 @@ impl Budget {
     pub fn with_wall(mut self, wall: Duration) -> Budget {
         self.wall = Some(wall);
         self
-    }
-}
-
-/// Per-monitor health, reported by [`Monitor::health`] and surfaced in
-/// session reports.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Health {
-    /// The monitor handled every event it was offered.
-    Ok,
-    /// The monitor returned an [`Outcome::Abort`] verdict. Under
-    /// [`FaultPolicy::Fatal`] the abort also stops evaluation (this
-    /// variant is then only visible in the state carried by the abort);
-    /// under [`FaultPolicy::Quarantine`] the verdict is confined and the
-    /// run continues without the monitor.
-    Aborted(String),
-    /// The monitor panicked and was confined by
-    /// [`FaultPolicy::Quarantine`]; the payload is the panic message.
-    Quarantined(String),
-    /// The monitor exceeded its [`Budget`] and stopped being consulted.
-    OverBudget(String),
-}
-
-impl Health {
-    /// Whether the monitor is still being consulted.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, Health::Ok)
-    }
-}
-
-impl fmt::Display for Health {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Health::Ok => f.write_str("ok"),
-            Health::Aborted(reason) => write!(f, "aborted: {reason}"),
-            Health::Quarantined(reason) => write!(f, "quarantined: {reason}"),
-            Health::OverBudget(reason) => write!(f, "over budget: {reason}"),
-        }
     }
 }
 

@@ -1,461 +1,9 @@
 //! The monitored imperative language module (§9.2).
 //!
-//! Derived from [`monsem_core::imperative`] by the Definition 4.2
-//! construction. The monitoring functions receive a [`Scope`] that carries
-//! the store, so a monitor can observe the *current contents* of mutable
-//! variables — the semantic events a Magpie-style demon (§8) watches.
+//! The machine lives in [`monsem_core::imperative`], one transition loop
+//! for the standard and the monitored store semantics; this module
+//! re-exports the monitored entry points. Their monitoring functions see
+//! a [`Scope`](crate::scope::Scope) that carries the store, so a
+//! Magpie-style demon (§8) can watch the contents of mutable variables.
 
-use crate::scope::Scope;
-use crate::spec::{HookPhase, Monitor, Outcome};
-use monsem_core::env::{Env, LetrecPlan};
-use monsem_core::error::EvalError;
-use monsem_core::imperative::Store;
-use monsem_core::machine::{constant, EvalOptions, LookupMode};
-use monsem_core::resolve::resolve_for;
-use monsem_core::value::{Closure, Value};
-use monsem_syntax::{Annotation, Expr, Ident};
-use std::rc::Rc;
-use std::sync::Arc;
-
-#[derive(Debug)]
-enum Frame {
-    Arg {
-        func: Arc<Expr>,
-        env: Env,
-    },
-    Apply {
-        arg: Value,
-    },
-    Branch {
-        then: Arc<Expr>,
-        els: Arc<Expr>,
-        env: Env,
-    },
-    Bind {
-        name: Ident,
-        body: Arc<Expr>,
-        env: Env,
-    },
-    LetrecBind {
-        plan: Rc<LetrecPlan>,
-        index: usize,
-        body: Arc<Expr>,
-        env: Env,
-    },
-    Discard {
-        second: Arc<Expr>,
-        env: Env,
-    },
-    Write {
-        loc: usize,
-    },
-    LoopTest {
-        cond: Arc<Expr>,
-        body: Arc<Expr>,
-        env: Env,
-    },
-    LoopBack {
-        cond: Arc<Expr>,
-        body: Arc<Expr>,
-        env: Env,
-    },
-    Post {
-        ann: Annotation,
-        expr: Arc<Expr>,
-        env: Env,
-    },
-}
-
-enum State {
-    Eval(Arc<Expr>, Env),
-    Continue(Value),
-}
-
-/// Evaluates the annotated program imperatively under monitor `m`.
-///
-/// # Errors
-///
-/// Any [`EvalError`] the program provokes.
-pub fn eval_monitored_imperative<M: Monitor>(
-    expr: &Expr,
-    monitor: &M,
-) -> Result<(Value, M::State), EvalError> {
-    eval_monitored_imperative_with(
-        expr,
-        &Env::empty(),
-        monitor,
-        monitor.initial_state(),
-        &EvalOptions::default(),
-    )
-    .map(|(v, s, _)| (v, s))
-}
-
-/// Full-control variant of [`eval_monitored_imperative`]; also returns the
-/// final store.
-///
-/// # Errors
-///
-/// Any [`EvalError`], including [`EvalError::FuelExhausted`].
-pub fn eval_monitored_imperative_with<M: Monitor>(
-    expr: &Expr,
-    env: &Env,
-    monitor: &M,
-    sigma: M::State,
-    options: &EvalOptions,
-) -> Result<(Value, M::State, Store), EvalError> {
-    let mut store = Store::new();
-    let mut stack: Vec<Frame> = Vec::new();
-    let program = match options.lookup {
-        LookupMode::ByAddress => Arc::new(resolve_for(expr, env)),
-        LookupMode::BySymbol | LookupMode::ByString => Arc::new(expr.clone()),
-    };
-    let by_string = options.lookup == LookupMode::ByString;
-    let mut state = State::Eval(program, env.clone());
-    let mut sigma = sigma;
-    let mut fuel = options.fuel;
-
-    loop {
-        if fuel == 0 {
-            return Err(EvalError::FuelExhausted);
-        }
-        fuel -= 1;
-
-        state = match state {
-            State::Eval(expr, env) => match &*expr {
-                Expr::Ann(ann, inner) => {
-                    if monitor.accepts(ann) {
-                        if monitor.accepts_event(ann, HookPhase::Pre) {
-                            sigma = match monitor.try_pre(
-                                ann,
-                                inner,
-                                &Scope::with_store(&env, &store),
-                                sigma,
-                            ) {
-                                Outcome::Continue(s) => s,
-                                Outcome::Abort {
-                                    monitor, reason, ..
-                                } => return Err(EvalError::MonitorAbort { monitor, reason }),
-                            };
-                        }
-                        stack.push(Frame::Post {
-                            ann: ann.clone(),
-                            expr: inner.clone(),
-                            env: env.clone(),
-                        });
-                    }
-                    State::Eval(inner.clone(), env)
-                }
-                Expr::Con(c) => State::Continue(constant(c)),
-                Expr::VarAt(_, addr) => match env.lookup_addr(addr) {
-                    Value::Loc(l) => State::Continue(store.read(l).clone()),
-                    v => State::Continue(v),
-                },
-                Expr::Var(x) => {
-                    let v = if by_string {
-                        env.lookup_str(x)
-                    } else {
-                        env.lookup(x)
-                    };
-                    match v {
-                        Some(Value::Loc(l)) => State::Continue(store.read(l).clone()),
-                        Some(v) => State::Continue(v),
-                        None => return Err(EvalError::UnboundVariable(x.clone())),
-                    }
-                }
-                Expr::Lambda(l) => State::Continue(Value::Closure(Rc::new(Closure {
-                    param: l.param.clone(),
-                    body: l.body.clone(),
-                    env: env.clone(),
-                }))),
-                Expr::If(c, t, e) => {
-                    stack.push(Frame::Branch {
-                        then: t.clone(),
-                        els: e.clone(),
-                        env: env.clone(),
-                    });
-                    State::Eval(c.clone(), env)
-                }
-                Expr::App(f, a) => {
-                    stack.push(Frame::Arg {
-                        func: f.clone(),
-                        env: env.clone(),
-                    });
-                    State::Eval(a.clone(), env)
-                }
-                Expr::Let(x, v, b) => {
-                    stack.push(Frame::Bind {
-                        name: x.clone(),
-                        body: b.clone(),
-                        env: env.clone(),
-                    });
-                    State::Eval(v.clone(), env)
-                }
-                Expr::Letrec(bs, body) => {
-                    let plan = Rc::new(LetrecPlan::of(bs));
-                    let env = if plan.values == 0 {
-                        plan.push_rec(&env)
-                    } else {
-                        env
-                    };
-                    if plan.ordered.is_empty() {
-                        State::Eval(body.clone(), env)
-                    } else {
-                        let first = plan.ordered[0].value.clone();
-                        stack.push(Frame::LetrecBind {
-                            plan,
-                            index: 0,
-                            body: body.clone(),
-                            env: env.clone(),
-                        });
-                        State::Eval(first, env)
-                    }
-                }
-                Expr::Seq(a, b) => {
-                    stack.push(Frame::Discard {
-                        second: b.clone(),
-                        env: env.clone(),
-                    });
-                    State::Eval(a.clone(), env)
-                }
-                Expr::Par(..) => {
-                    return Err(EvalError::UnsupportedConstruct(
-                        "par (only the strict machines evaluate it)",
-                    ))
-                }
-                Expr::Assign(x, e) => match env.lookup(x) {
-                    Some(Value::Loc(l)) => {
-                        stack.push(Frame::Write { loc: l });
-                        State::Eval(e.clone(), env)
-                    }
-                    Some(_) => return Err(EvalError::NotAssignable(x.clone())),
-                    None => return Err(EvalError::UnboundVariable(x.clone())),
-                },
-                Expr::While(c, b) => {
-                    stack.push(Frame::LoopTest {
-                        cond: c.clone(),
-                        body: b.clone(),
-                        env: env.clone(),
-                    });
-                    State::Eval(c.clone(), env)
-                }
-            },
-            State::Continue(value) => match stack.pop() {
-                None => return Ok((value, sigma, store)),
-                Some(Frame::Post { ann, expr, env }) => {
-                    if monitor.accepts_event(&ann, HookPhase::Post) {
-                        sigma = match monitor.try_post(
-                            &ann,
-                            &expr,
-                            &Scope::with_store(&env, &store),
-                            &value,
-                            sigma,
-                        ) {
-                            Outcome::Continue(s) => s,
-                            Outcome::Abort {
-                                monitor, reason, ..
-                            } => return Err(EvalError::MonitorAbort { monitor, reason }),
-                        };
-                    }
-                    State::Continue(value)
-                }
-                Some(Frame::Arg { func, env }) => {
-                    stack.push(Frame::Apply { arg: value });
-                    State::Eval(func, env)
-                }
-                Some(Frame::Apply { arg }) => match value {
-                    Value::Closure(c) => {
-                        let loc = store.alloc(arg);
-                        State::Eval(
-                            c.body.clone(),
-                            c.env.extend(c.param.clone(), Value::Loc(loc)),
-                        )
-                    }
-                    Value::Prim(p, collected) => {
-                        let mut args = collected.as_ref().clone();
-                        args.push(arg);
-                        if args.len() == p.arity() {
-                            State::Continue(p.apply(&args)?)
-                        } else {
-                            State::Continue(Value::Prim(p, Rc::new(args)))
-                        }
-                    }
-                    other => return Err(EvalError::NotAFunction(other.to_string())),
-                },
-                Some(Frame::Branch { then, els, env }) => match value {
-                    Value::Bool(true) => State::Eval(then, env),
-                    Value::Bool(false) => State::Eval(els, env),
-                    other => return Err(EvalError::NonBooleanCondition(other.to_string())),
-                },
-                Some(Frame::Bind { name, body, env }) => {
-                    let loc = store.alloc(value);
-                    State::Eval(body, env.extend(name, Value::Loc(loc)))
-                }
-                Some(Frame::LetrecBind {
-                    plan,
-                    index,
-                    body,
-                    env,
-                }) => {
-                    let bound = if index < plan.values {
-                        Value::Loc(store.alloc(value))
-                    } else {
-                        value
-                    };
-                    let mut env = plan.bind(&env, index, bound);
-                    if index + 1 == plan.values {
-                        env = plan.push_rec(&env);
-                    }
-                    if index + 1 < plan.ordered.len() {
-                        let next = plan.ordered[index + 1].value.clone();
-                        stack.push(Frame::LetrecBind {
-                            plan,
-                            index: index + 1,
-                            body,
-                            env: env.clone(),
-                        });
-                        State::Eval(next, env)
-                    } else {
-                        State::Eval(body, env)
-                    }
-                }
-                Some(Frame::Discard { second, env }) => State::Eval(second, env),
-                Some(Frame::Write { loc }) => {
-                    store.write(loc, value);
-                    State::Continue(Value::Unit)
-                }
-                Some(Frame::LoopTest { cond, body, env }) => match value {
-                    Value::Bool(true) => {
-                        stack.push(Frame::LoopBack {
-                            cond,
-                            body: body.clone(),
-                            env: env.clone(),
-                        });
-                        State::Eval(body, env)
-                    }
-                    Value::Bool(false) => State::Continue(Value::Unit),
-                    other => return Err(EvalError::NonBooleanCondition(other.to_string())),
-                },
-                Some(Frame::LoopBack { cond, body, env }) => {
-                    stack.push(Frame::LoopTest {
-                        cond: cond.clone(),
-                        body,
-                        env: env.clone(),
-                    });
-                    State::Eval(cond, env)
-                }
-            },
-        };
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use monsem_core::imperative::eval_imperative;
-    use monsem_syntax::parse_expr;
-
-    /// Watches a named mutable variable at annotated points: records its
-    /// current store contents at each `pre` event.
-    #[derive(Debug, Clone)]
-    struct Watch(Ident);
-    impl Monitor for Watch {
-        type State = Vec<Value>;
-        fn name(&self) -> &str {
-            "watch"
-        }
-        fn initial_state(&self) -> Vec<Value> {
-            Vec::new()
-        }
-        fn pre(
-            &self,
-            _: &Annotation,
-            _: &Expr,
-            scope: &Scope<'_>,
-            mut s: Vec<Value>,
-        ) -> Vec<Value> {
-            if let Some(v) = scope.lookup(&self.0) {
-                s.push(v);
-            }
-            s
-        }
-    }
-
-    #[test]
-    fn monitor_observes_mutation_through_the_store() {
-        let e = parse_expr("let n = 0 in while n < 3 do {tick}:(n := n + 1) end; n").unwrap();
-        let (v, seen) = eval_monitored_imperative(&e, &Watch(Ident::new("n"))).unwrap();
-        assert_eq!(v, Value::Int(3));
-        assert_eq!(seen, vec![Value::Int(0), Value::Int(1), Value::Int(2)]);
-    }
-
-    #[test]
-    fn answers_match_the_unmonitored_imperative_machine() {
-        let src = "let n = 5 in let acc = 1 in \
-                   (while n > 0 do {step}:(acc := acc * n); n := n - 1 end); acc";
-        let e = parse_expr(src).unwrap();
-        let (v, _) = eval_monitored_imperative(&e, &Watch(Ident::new("acc"))).unwrap();
-        assert_eq!(Ok(v), eval_imperative(&e));
-    }
-
-    #[test]
-    fn abort_verdict_stops_imperative_evaluation_mid_loop() {
-        /// Aborts as soon as the watched variable's store contents exceed
-        /// the bound — a §8 demon with teeth, reading through the store.
-        #[derive(Debug, Clone)]
-        struct Ceiling(Ident, i64);
-        impl Monitor for Ceiling {
-            type State = ();
-            fn name(&self) -> &str {
-                "ceiling"
-            }
-            fn initial_state(&self) {}
-            fn try_pre(&self, _: &Annotation, _: &Expr, scope: &Scope<'_>, _: ()) -> Outcome<()> {
-                if let Some(Value::Int(n)) = scope.lookup(&self.0) {
-                    if n > self.1 {
-                        return Outcome::abort((), "ceiling", format!("{} reached {n}", self.0));
-                    }
-                }
-                Outcome::Continue(())
-            }
-        }
-        let e = parse_expr("let n = 0 in while true do {tick}:(n := n + 1) end; n").unwrap();
-        assert_eq!(
-            eval_monitored_imperative(&e, &Ceiling(Ident::new("n"), 2)).unwrap_err(),
-            EvalError::MonitorAbort {
-                monitor: "ceiling".into(),
-                reason: "n reached 3".into(),
-            }
-        );
-    }
-
-    #[test]
-    fn post_sees_the_assignment_result() {
-        #[derive(Debug, Clone)]
-        struct PostVals;
-        impl Monitor for PostVals {
-            type State = Vec<String>;
-            fn name(&self) -> &str {
-                "post-vals"
-            }
-            fn initial_state(&self) -> Vec<String> {
-                Vec::new()
-            }
-            fn post(
-                &self,
-                _: &Annotation,
-                _: &Expr,
-                scope: &Scope<'_>,
-                v: &Value,
-                mut s: Vec<String>,
-            ) -> Vec<String> {
-                s.push(format!("{v} with x = {}", scope.render(&Ident::new("x"))));
-                s
-            }
-        }
-        let e = parse_expr("let x = 1 in {w}:(x := 2); x").unwrap();
-        let (v, log) = eval_monitored_imperative(&e, &PostVals).unwrap();
-        assert_eq!(v, Value::Int(2));
-        // The assignment returns unit; the store already holds 2.
-        assert_eq!(log, vec!["() with x = 2".to_string()]);
-    }
-}
+pub use monsem_core::imperative::{eval_monitored_imperative, eval_monitored_imperative_with};

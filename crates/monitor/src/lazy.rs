@@ -1,453 +1,9 @@
 //! The monitored lazy language module — the §9.2 integration of the
 //! monitoring semantics with call-by-need evaluation.
 //!
-//! Derived from [`monsem_core::lazy`] by the Definition 4.2 construction:
-//! one extra transition for `{μ}:e` and one `κ_post` frame; everything
-//! else inherits. Note that under call-by-need an annotation inside a
-//! never-forced binding never fires — monitoring reflects the actual
-//! demand-driven evaluation order, which is precisely what a lazy tracer
-//! is for.
+//! The machine lives in [`monsem_core::lazy`], one transition loop for the
+//! standard and the monitored call-by-need semantics; this module
+//! re-exports the monitored entry points. Under call-by-need an
+//! annotation inside a never-forced binding never fires.
 
-use crate::scope::Scope;
-use crate::spec::{HookPhase, Monitor, Outcome};
-use monsem_core::env::{Env, LetrecPlan};
-use monsem_core::error::EvalError;
-use monsem_core::machine::{constant, EvalOptions, LookupMode};
-use monsem_core::prims::Prim;
-use monsem_core::resolve::resolve_for;
-use monsem_core::value::{Closure, ThunkRef, ThunkState, Value};
-use monsem_syntax::{Annotation, Binding, Expr};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
-
-#[derive(Debug)]
-enum Frame {
-    ApplyTo {
-        arg: Arc<Expr>,
-        env: Env,
-    },
-    Branch {
-        then: Arc<Expr>,
-        els: Arc<Expr>,
-        env: Env,
-    },
-    Update(ThunkRef),
-    PrimArgs {
-        prim: Prim,
-        args: Vec<Value>,
-        index: usize,
-    },
-    Discard {
-        second: Arc<Expr>,
-        env: Env,
-    },
-    Post {
-        ann: Annotation,
-        expr: Arc<Expr>,
-        env: Env,
-    },
-}
-
-enum State {
-    Eval(Arc<Expr>, Env),
-    Continue(Value),
-}
-
-/// Evaluates the annotated program call-by-need under monitor `m`.
-///
-/// # Errors
-///
-/// Any [`EvalError`] the program provokes.
-pub fn eval_monitored_lazy<M: Monitor>(
-    expr: &Expr,
-    monitor: &M,
-) -> Result<(Value, M::State), EvalError> {
-    eval_monitored_lazy_with(
-        expr,
-        &Env::empty(),
-        monitor,
-        monitor.initial_state(),
-        &EvalOptions::default(),
-    )
-}
-
-/// Full-control variant of [`eval_monitored_lazy`].
-///
-/// # Errors
-///
-/// Any [`EvalError`], including [`EvalError::FuelExhausted`].
-pub fn eval_monitored_lazy_with<M: Monitor>(
-    expr: &Expr,
-    env: &Env,
-    monitor: &M,
-    sigma: M::State,
-    options: &EvalOptions,
-) -> Result<(Value, M::State), EvalError> {
-    let mut stack: Vec<Frame> = Vec::new();
-    let program = match options.lookup {
-        LookupMode::ByAddress => Arc::new(resolve_for(expr, env)),
-        LookupMode::BySymbol | LookupMode::ByString => Arc::new(expr.clone()),
-    };
-    let by_string = options.lookup == LookupMode::ByString;
-    let mut state = State::Eval(program, env.clone());
-    let mut sigma = sigma;
-    let mut fuel = options.fuel;
-
-    loop {
-        if fuel == 0 {
-            return Err(EvalError::FuelExhausted);
-        }
-        fuel -= 1;
-
-        state = match state {
-            State::Eval(expr, env) => match &*expr {
-                Expr::Ann(ann, inner) => {
-                    if monitor.accepts(ann) {
-                        if monitor.accepts_event(ann, HookPhase::Pre) {
-                            sigma = match monitor.try_pre(ann, inner, &Scope::pure(&env), sigma) {
-                                Outcome::Continue(s) => s,
-                                Outcome::Abort {
-                                    monitor, reason, ..
-                                } => return Err(EvalError::MonitorAbort { monitor, reason }),
-                            };
-                        }
-                        stack.push(Frame::Post {
-                            ann: ann.clone(),
-                            expr: inner.clone(),
-                            env: env.clone(),
-                        });
-                    }
-                    State::Eval(inner.clone(), env)
-                }
-                Expr::Con(c) => State::Continue(constant(c)),
-                Expr::VarAt(_, addr) => match env.lookup_addr(addr) {
-                    Value::Thunk(t) => force(t, &mut stack)?,
-                    v => State::Continue(v),
-                },
-                Expr::Var(x) => {
-                    let v = if by_string {
-                        env.lookup_str(x)
-                    } else {
-                        env.lookup(x)
-                    };
-                    match v {
-                        Some(Value::Thunk(t)) => force(t, &mut stack)?,
-                        Some(v) => State::Continue(v),
-                        None => return Err(EvalError::UnboundVariable(x.clone())),
-                    }
-                }
-                Expr::Lambda(l) => State::Continue(Value::Closure(Rc::new(Closure {
-                    param: l.param.clone(),
-                    body: l.body.clone(),
-                    env: env.clone(),
-                }))),
-                Expr::If(c, t, e) => {
-                    stack.push(Frame::Branch {
-                        then: t.clone(),
-                        els: e.clone(),
-                        env: env.clone(),
-                    });
-                    State::Eval(c.clone(), env)
-                }
-                Expr::App(f, a) => {
-                    stack.push(Frame::ApplyTo {
-                        arg: a.clone(),
-                        env: env.clone(),
-                    });
-                    State::Eval(f.clone(), env)
-                }
-                Expr::Let(x, v, b) => {
-                    let t = suspend(v.clone(), env.clone());
-                    State::Eval(b.clone(), env.extend(x.clone(), t))
-                }
-                Expr::Letrec(bs, body) => State::Eval(body.clone(), letrec_env(bs, &env)),
-                Expr::Seq(a, b) => {
-                    stack.push(Frame::Discard {
-                        second: b.clone(),
-                        env: env.clone(),
-                    });
-                    State::Eval(a.clone(), env)
-                }
-                Expr::Par(..) => {
-                    return Err(EvalError::UnsupportedConstruct(
-                        "par (only the strict machines evaluate it)",
-                    ))
-                }
-                Expr::Assign(..) => return Err(EvalError::UnsupportedConstruct("assignment")),
-                Expr::While(..) => return Err(EvalError::UnsupportedConstruct("while")),
-            },
-            State::Continue(value) => match stack.pop() {
-                None => return Ok((value, sigma)),
-                Some(Frame::Post { ann, expr, env }) => {
-                    if monitor.accepts_event(&ann, HookPhase::Post) {
-                        sigma = match monitor.try_post(
-                            &ann,
-                            &expr,
-                            &Scope::pure(&env),
-                            &value,
-                            sigma,
-                        ) {
-                            Outcome::Continue(s) => s,
-                            Outcome::Abort {
-                                monitor, reason, ..
-                            } => return Err(EvalError::MonitorAbort { monitor, reason }),
-                        };
-                    }
-                    State::Continue(value)
-                }
-                Some(Frame::ApplyTo { arg, env }) => match value {
-                    Value::Closure(c) => {
-                        let t = suspend(arg, env);
-                        State::Eval(c.body.clone(), c.env.extend(c.param.clone(), t))
-                    }
-                    Value::Prim(p, collected) => {
-                        let mut args = collected.as_ref().clone();
-                        args.push(suspend(arg, env));
-                        if args.len() == p.arity() {
-                            prim_step(p, args, &mut stack)?
-                        } else {
-                            State::Continue(Value::Prim(p, Rc::new(args)))
-                        }
-                    }
-                    other => return Err(EvalError::NotAFunction(other.to_string())),
-                },
-                Some(Frame::Branch { then, els, env }) => match value {
-                    Value::Bool(true) => State::Eval(then, env),
-                    Value::Bool(false) => State::Eval(els, env),
-                    other => return Err(EvalError::NonBooleanCondition(other.to_string())),
-                },
-                Some(Frame::Update(t)) => {
-                    *t.borrow_mut() = ThunkState::Forced(value.clone());
-                    State::Continue(value)
-                }
-                Some(Frame::PrimArgs {
-                    prim,
-                    mut args,
-                    index,
-                }) => {
-                    args[index] = value;
-                    prim_step(prim, args, &mut stack)?
-                }
-                Some(Frame::Discard { second, env }) => State::Eval(second, env),
-            },
-        };
-    }
-}
-
-fn suspend(expr: Arc<Expr>, env: Env) -> Value {
-    if let Expr::Con(c) = &*expr {
-        return constant(c);
-    }
-    Value::Thunk(Rc::new(RefCell::new(ThunkState::Pending { expr, env })))
-}
-
-fn force(t: ThunkRef, stack: &mut Vec<Frame>) -> Result<State, EvalError> {
-    let taken = {
-        let mut state = t.borrow_mut();
-        match &*state {
-            ThunkState::Forced(v) => return Ok(State::Continue(v.clone())),
-            ThunkState::InProgress => return Err(EvalError::BlackHole),
-            ThunkState::Pending { .. } => std::mem::replace(&mut *state, ThunkState::InProgress),
-        }
-    };
-    match taken {
-        ThunkState::Pending { expr, env } => {
-            stack.push(Frame::Update(t));
-            Ok(State::Eval(expr, env))
-        }
-        _ => unreachable!("checked above"),
-    }
-}
-
-fn prim_step(prim: Prim, mut args: Vec<Value>, stack: &mut Vec<Frame>) -> Result<State, EvalError> {
-    let mut i = 0;
-    while i < args.len() {
-        if let Value::Thunk(t) = &args[i] {
-            let t = t.clone();
-            let forced = {
-                let state = t.borrow();
-                match &*state {
-                    ThunkState::Forced(v) => Some(v.clone()),
-                    ThunkState::InProgress => return Err(EvalError::BlackHole),
-                    ThunkState::Pending { .. } => None,
-                }
-            };
-            match forced {
-                Some(v) => {
-                    args[i] = v;
-                    continue;
-                }
-                None => {
-                    stack.push(Frame::PrimArgs {
-                        prim,
-                        args: args.clone(),
-                        index: i,
-                    });
-                    return force(t, stack);
-                }
-            }
-        }
-        i += 1;
-    }
-    Ok(State::Continue(prim.apply(&args)?))
-}
-
-fn letrec_env(bs: &[Binding], env: &Env) -> Env {
-    let plan = LetrecPlan::of(bs);
-    let mut env = env.clone();
-    let mut value_thunks: Vec<ThunkRef> = Vec::new();
-    let mut annotated_thunks: Vec<ThunkRef> = Vec::new();
-    let suspend_binding = |env: &Env, b: &Binding, created: &mut Vec<ThunkRef>| match suspend(
-        b.value.clone(),
-        Env::empty(),
-    ) {
-        Value::Thunk(t) => {
-            created.push(t.clone());
-            env.extend(b.name.clone(), Value::Thunk(t))
-        }
-        constant_value => env.extend(b.name.clone(), constant_value),
-    };
-    for b in &plan.ordered[..plan.values] {
-        env = suspend_binding(&env, b, &mut value_thunks);
-    }
-    env = plan.push_rec(&env);
-    let rec_env = env.clone();
-    for b in &plan.ordered[plan.values..] {
-        env = suspend_binding(&env, b, &mut annotated_thunks);
-    }
-    // Value thunks see the final environment; annotated lambda thunks
-    // close over the rec-rooted one — the shape the resolver predicts for
-    // the group's function bodies (see `monsem_core::lazy::letrec_env`).
-    for t in value_thunks {
-        let mut state = t.borrow_mut();
-        if let ThunkState::Pending { env: thunk_env, .. } = &mut *state {
-            *thunk_env = env.clone();
-        }
-    }
-    for t in annotated_thunks {
-        let mut state = t.borrow_mut();
-        if let ThunkState::Pending { env: thunk_env, .. } = &mut *state {
-            *thunk_env = rec_env.clone();
-        }
-    }
-    env
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use monsem_core::lazy::eval_lazy;
-    use monsem_syntax::parse_expr;
-
-    #[derive(Debug, Clone, Default)]
-    struct Log;
-    impl Monitor for Log {
-        type State = Vec<String>;
-        fn name(&self) -> &str {
-            "log"
-        }
-        fn initial_state(&self) -> Vec<String> {
-            Vec::new()
-        }
-        fn pre(&self, a: &Annotation, _: &Expr, _: &Scope<'_>, mut s: Vec<String>) -> Vec<String> {
-            s.push(format!("pre {}", a.name()));
-            s
-        }
-        fn post(
-            &self,
-            a: &Annotation,
-            _: &Expr,
-            _: &Scope<'_>,
-            v: &Value,
-            mut s: Vec<String>,
-        ) -> Vec<String> {
-            s.push(format!("post {} = {v}", a.name()));
-            s
-        }
-    }
-
-    #[test]
-    fn answers_match_the_unmonitored_lazy_machine() {
-        let e = parse_expr(
-            "letrec fac = lambda x. {f}:if x = 0 then 1 else x * (fac (x - 1)) in fac 5",
-        )
-        .unwrap();
-        let (v, _) = eval_monitored_lazy(&e, &Log).unwrap();
-        assert_eq!(Ok(v), eval_lazy(&e));
-    }
-
-    #[test]
-    fn unused_annotated_argument_never_fires_the_monitor() {
-        let e = parse_expr("(lambda x. 1) ({never}:(2 + 3))").unwrap();
-        let (v, log) = eval_monitored_lazy(&e, &Log).unwrap();
-        assert_eq!(v, Value::Int(1));
-        assert!(log.is_empty(), "monitor fired on unused binding: {log:?}");
-    }
-
-    #[test]
-    fn forced_annotated_argument_fires_exactly_once_despite_two_uses() {
-        let e = parse_expr("(lambda x. x + x) ({once}:(2 + 3))").unwrap();
-        let (v, log) = eval_monitored_lazy(&e, &Log).unwrap();
-        assert_eq!(v, Value::Int(10));
-        assert_eq!(
-            log,
-            vec!["pre once".to_string(), "post once = 5".to_string()]
-        );
-    }
-
-    #[test]
-    fn abort_verdict_stops_lazy_evaluation() {
-        #[derive(Debug)]
-        struct NoBigValues;
-        impl Monitor for NoBigValues {
-            type State = ();
-            fn name(&self) -> &str {
-                "no-big"
-            }
-            fn initial_state(&self) {}
-            fn try_post(
-                &self,
-                _: &Annotation,
-                _: &Expr,
-                _: &Scope<'_>,
-                v: &Value,
-                _: (),
-            ) -> Outcome<()> {
-                if matches!(v, Value::Int(i) if *i > 10) {
-                    return Outcome::abort((), "no-big", format!("saw {v}"));
-                }
-                Outcome::Continue(())
-            }
-        }
-        let e = parse_expr("let x = {x}:(6 * 7) in x + 1").unwrap();
-        assert_eq!(
-            eval_monitored_lazy(&e, &NoBigValues).unwrap_err(),
-            EvalError::MonitorAbort {
-                monitor: "no-big".into(),
-                reason: "saw 42".into(),
-            }
-        );
-        // A never-demanded annotation never gets the chance to abort.
-        let e = parse_expr("let x = {x}:(6 * 7) in 1").unwrap();
-        assert_eq!(
-            eval_monitored_lazy(&e, &NoBigValues).unwrap(),
-            (Value::Int(1), ())
-        );
-    }
-
-    #[test]
-    fn demand_order_shows_in_the_event_log() {
-        // `y` is demanded before `x` because `+` forces left-to-right but
-        // the outer expression is `y + x`... make it explicit:
-        let e = parse_expr("let x = {x}:1 in let y = {y}:2 in y + x").unwrap();
-        let (_, log) = eval_monitored_lazy(&e, &Log).unwrap();
-        assert_eq!(
-            log,
-            vec!["pre y", "post y = 2", "pre x", "post x = 1"]
-                .into_iter()
-                .map(String::from)
-                .collect::<Vec<_>>()
-        );
-    }
-}
+pub use monsem_core::lazy::{eval_monitored_lazy, eval_monitored_lazy_with};

@@ -20,13 +20,19 @@
 //!
 //! Module map:
 //!
-//! * [`spec`] — the [`Monitor`] trait and the identity monitor;
+//! * [`spec`] — the [`Monitor`] trait and the identity monitor
+//!   (re-exported from `monsem_core`, whose machines are generic in it),
+//!   plus mergeable and type-erased monitors;
 //! * [`scope`] — the semantic context `A*` handed to monitoring functions
-//!   (environment, plus the store in the imperative module);
-//! * [`machine`] — the monitored strict evaluator (Figure 3), derived from
-//!   the standard machine by adding exactly one transition (`{μ}:e`) and
-//!   one frame (`κ_post`);
-//! * [`lazy`] / [`imperative`] — monitored §9.2 language modules;
+//!   (environment, plus the store in the imperative module; re-exported
+//!   from `monsem_core`);
+//! * [`machine`] — the monitored strict evaluator (Figure 3). It is the
+//!   standard machine of `monsem_core`, which adds exactly one transition
+//!   (`{μ}:e`) and one frame (`κ_post`) for the monitors that accept an
+//!   annotation; the standard semantics is the same loop at
+//!   [`NoMonitor`];
+//! * [`lazy`] / [`imperative`] — monitored §9.2 language modules, likewise
+//!   re-exported from the one machine per module in `monsem_core`;
 //! * [`answer`] — the answer transformer `θ` and monitoring answer algebra
 //!   (Definition 4.1);
 //! * [`fault`] — fault isolation: verdicts may abort evaluation with a
@@ -41,7 +47,8 @@
 //!   thread scope, for monitors whose states split at the fork and merge
 //!   at the join ([`MergeMonitor`]);
 //! * [`soundness`] — executable form of Theorem 7.7, used by the property
-//!   tests;
+//!   tests, with the closure-continuation evaluator as the independent
+//!   standard-semantics oracle;
 //! * [`tape`] — serializable event tapes: the pre-abstraction monitoring
 //!   stream as data, recorded through a [`tape::TapeSink`] so it can be
 //!   checked offline or shipped to a monitor server (`monsem-tape`);
@@ -86,7 +93,7 @@ pub mod imperative;
 pub mod lazy;
 pub mod machine;
 pub mod parallel;
-pub mod scope;
+pub use monsem_core::scope;
 pub mod session;
 pub mod soundness;
 pub mod spec;
@@ -98,7 +105,7 @@ pub use fault::{Budget, BudgetLedger, FaultPolicy, GuardState, Guarded, Health};
 pub use machine::{eval_monitored, eval_monitored_stats_with, eval_monitored_with};
 pub use parallel::{eval_parallel, eval_parallel_with, ParOptions};
 pub use scope::Scope;
-pub use spec::{DynMonitor, HookPhase, IdentityMonitor, MergeMonitor, Monitor, Outcome};
+pub use spec::{DynMonitor, HookPhase, IdentityMonitor, MergeMonitor, Monitor, NoMonitor, Outcome};
 pub use tape::{
     record_monitored, record_monitored_with, MemorySink, SharedSink, TapeEvent, TapePhase,
     TapeSink, Taping, ValueDesc,

@@ -145,15 +145,12 @@ where
     // below then evaluates with addresses already in place.
     let program = match options.eval.lookup {
         LookupMode::ByAddress => Arc::new(resolve_for(expr, env)),
-        LookupMode::BySymbol | LookupMode::ByString => Arc::new(expr.clone()),
+        LookupMode::BySymbol => Arc::new(expr.clone()),
     };
     let mut driver_options = options.clone();
     // The program is already resolved; shards must not resolve again
     // against their thawed (value-bearing) environments.
-    driver_options.eval.lookup = match options.eval.lookup {
-        LookupMode::ByAddress => LookupMode::BySymbol,
-        other => other,
-    };
+    driver_options.eval.lookup = LookupMode::BySymbol;
     // The one fuel budget, drawn down by sequential segments and shard
     // charge-backs alike.
     let mut fuel = options.eval.fuel;
@@ -261,7 +258,7 @@ where
         // `f` — `drive` preserves that here.
         Expr::App(pmf, xs_expr) => {
             let forked = match &**pmf {
-                Expr::App(pm, f_expr) if resolves_to_par_map(pm, env, options) => Some(f_expr),
+                Expr::App(pm, f_expr) if resolves_to_par_map(pm, env) => Some(f_expr),
                 _ => None,
             };
             match forked {
@@ -306,16 +303,10 @@ where
 /// Whether `expr` is a variable that denotes the (unapplied) `par_map`
 /// primitive in `env` — checked through the environment, so a program
 /// that shadows the name keeps its own binding and evaluates sequentially.
-fn resolves_to_par_map(expr: &Expr, env: &Env, options: &ParOptions) -> bool {
+fn resolves_to_par_map(expr: &Expr, env: &Env) -> bool {
     let v = match expr {
         Expr::VarAt(_, addr) => Some(env.lookup_addr(addr)),
-        Expr::Var(x) => {
-            if options.eval.lookup == LookupMode::ByString {
-                env.lookup_str(x)
-            } else {
-                env.lookup(x)
-            }
-        }
+        Expr::Var(x) => env.lookup(x),
         _ => None,
     };
     matches!(v, Some(Value::Prim(Prim::ParMap, args)) if args.is_empty())

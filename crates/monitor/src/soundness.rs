@@ -10,17 +10,30 @@
 //! i.e. the monitored run's first projection equals the standard answer,
 //! for every initial monitor state σ. This module turns that statement
 //! into a checkable harness used by the integration property tests: it
-//! runs the standard machine on the erased program and the monitored
-//! machine on the annotated program and compares `Result`s — values *and*
-//! errors must agree (an unsound monitor could otherwise "fix" a crash).
+//! runs a standard-semantics oracle on the erased program and the
+//! monitored machine on the annotated program and compares `Result`s —
+//! values *and* errors must agree (an unsound monitor could otherwise
+//! "fix" a crash).
+//!
+//! The oracle is the boxed-closure transliteration
+//! [`closure_cps`](monsem_core::closure_cps), not the standard machine:
+//! the standard machine *is* the monitored machine at
+//! [`NoMonitor`](monsem_core::spec::NoMonitor), so checking one against
+//! the other would compare a loop with itself. The transliteration shares
+//! no transition code with the machine. It does not evaluate `par` or
+//! `par_map` (it answers
+//! [`UnsupportedConstruct`](monsem_core::EvalError::UnsupportedConstruct)
+//! or a type error), so the checks are meant for **par-free** programs —
+//! the default generator configurations never produce `par`.
 //!
 //! Two *intended* divergences from the theorem are classified rather than
 //! reported as violations:
 //!
 //! * **Fuel** — the monitored machine takes extra transitions at annotated
 //!   points (one `{μ}:e` step plus one `κ_post` return per accepted
-//!   annotation), so a run that exhausts fuel in only one engine is
-//!   [`SoundnessOutcome::Inconclusive`]. The same reasoning covers the
+//!   annotation), and the oracle meters fuel per trampoline bounce rather
+//!   than per transition, so a run that exhausts fuel in only one engine
+//!   is [`SoundnessOutcome::Inconclusive`]. The same reasoning covers the
 //!   specialized `pe` engine, which *fuses* transitions (a two-argument
 //!   primitive application is one step instead of several) and therefore
 //!   exhausts the same fuel later than the interpreters — the differential
@@ -38,8 +51,9 @@
 
 use crate::machine::eval_monitored_with;
 use crate::spec::Monitor;
+use monsem_core::closure_cps::eval_cps_with;
 use monsem_core::error::EvalError;
-use monsem_core::machine::{eval_with, EvalOptions};
+use monsem_core::machine::EvalOptions;
 use monsem_core::{Env, Value};
 use monsem_syntax::Expr;
 use std::fmt;
@@ -66,7 +80,7 @@ pub enum SoundnessOutcome {
 /// observable behaviour.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoundnessViolation {
-    /// What the standard semantics produced (on the erased program).
+    /// What the standard-semantics oracle produced (on the erased program).
     pub standard: Result<Value, EvalError>,
     /// What the monitored semantics produced (first projection).
     pub monitored: Result<Value, EvalError>,
@@ -88,8 +102,10 @@ impl std::error::Error for SoundnessViolation {}
 
 /// Checks Theorem 7.7 on one annotated program and monitor.
 ///
-/// The standard side runs on the *erased* program (`s` from `s̄`); the
-/// monitored side runs on `s̄` from the monitor's initial state.
+/// The standard side runs the closure-continuation oracle on the *erased*
+/// program (`s` from `s̄`); the monitored side runs the machine on `s̄`
+/// from the monitor's initial state. `annotated` must be par-free (see
+/// the module documentation).
 ///
 /// # Errors
 ///
@@ -101,7 +117,7 @@ pub fn check_soundness<M: Monitor>(
     options: &EvalOptions,
 ) -> Result<SoundnessOutcome, Box<SoundnessViolation>> {
     let erased = annotated.erase_annotations();
-    let standard = eval_with(&erased, &Env::empty(), options);
+    let standard = eval_cps_with(&erased, &Env::empty(), options);
     let monitored = eval_monitored_with(
         annotated,
         &Env::empty(),

@@ -10,8 +10,10 @@
 //! program: a run that takes `steps` transitions succeeds with exactly
 //! `fuel = steps` and exhausts with `fuel = steps − 1`.
 
-use monitoring_semantics::core::machine::{eval_stats, eval_with, EvalOptions};
-use monitoring_semantics::core::{Env, EvalError};
+use monitoring_semantics::core::imperative::eval_imperative_with;
+use monitoring_semantics::core::lazy::eval_lazy_with;
+use monitoring_semantics::core::machine::{eval_stats, eval_with, EvalOptions, EvalStats};
+use monitoring_semantics::core::{programs, Env, EvalError};
 use monitoring_semantics::monitor::machine::eval_monitored_stats_with;
 use monitoring_semantics::monitor::{eval_parallel_with, IdentityMonitor, ParOptions};
 use monitoring_semantics::pe::engine::compile;
@@ -47,6 +49,54 @@ fn interpreter_fuel_equals_its_step_count() {
             "fuel = steps - 1 must exhaust ({src})"
         );
     }
+}
+
+/// The standard entry points run the monitored machines at `NoMonitor`,
+/// where an annotation costs exactly one skip transition. The counts on
+/// these annotated fixtures are pinned: a change to any of the three
+/// machines that moves a step shows here.
+#[test]
+fn standard_step_counts_on_annotated_fixtures_are_pinned() {
+    for (program, steps, max_stack) in [
+        (programs::fac_ab(5), 185, 8),
+        (programs::fac_mul_traced(3), 153, 6),
+        (programs::inclist_demon(), 507, 7),
+    ] {
+        let (result, stats) = eval_stats(&program, &Env::empty(), &EvalOptions::default());
+        assert!(result.is_ok(), "{program}: {result:?}");
+        assert_eq!(stats, EvalStats { steps, max_stack }, "{program}");
+    }
+    let exhausts = |r: Result<(), EvalError>| r == Err(EvalError::FuelExhausted);
+    for (src, steps) in [
+        (
+            "letrec fac = lambda x. {f}:if x = 0 then 1 else x * (fac (x - 1)) in fac 5",
+            182,
+        ),
+        ("let x = {x}:(6 * 7) in let y = {y}:1 in x + y", 24),
+    ] {
+        let e = parse_expr(src).unwrap();
+        let lazy = |fuel| eval_lazy_with(&e, &Env::empty(), &EvalOptions::with_fuel(fuel));
+        assert!(
+            lazy(steps).is_ok(),
+            "lazy, fuel = steps must succeed ({src})"
+        );
+        assert!(
+            exhausts(lazy(steps - 1).map(drop)),
+            "lazy, fuel = steps - 1 must exhaust ({src})"
+        );
+    }
+    let src = "let n = 5 in let acc = 1 in \
+               (while n > 0 do {step}:(acc := acc * n); n := n - 1 end); acc";
+    let e = parse_expr(src).unwrap();
+    let imperative = |fuel| eval_imperative_with(&e, &Env::empty(), &EvalOptions::with_fuel(fuel));
+    assert!(
+        imperative(201).is_ok(),
+        "imperative, fuel = steps must succeed"
+    );
+    assert!(
+        exhausts(imperative(200).map(drop)),
+        "imperative, fuel = steps - 1 must exhaust"
+    );
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! then follow pointers instead of comparing names. These properties pin
 //! down that the rewrite changes *nothing observable*: for randomly
 //! generated programs with randomly sprinkled annotations, every engine
-//! run by address agrees with the same engine run by (interned or string)
-//! name lookup — on answers, on errors, and on the monitor's final state.
+//! run by address agrees with the same engine run by interned-symbol
+//! lookup — on answers, on errors, and on the monitor's final state.
 //!
 //! The mode comparison is exact: resolution happens before the first
 //! transition and an addressed occurrence costs the same one transition a
@@ -36,11 +36,7 @@ fn opts(lookup: LookupMode) -> EvalOptions {
     EvalOptions { fuel: FUEL, lookup }
 }
 
-const MODES: [LookupMode; 3] = [
-    LookupMode::ByAddress,
-    LookupMode::BySymbol,
-    LookupMode::ByString,
-];
+const MODES: [LookupMode; 2] = [LookupMode::ByAddress, LookupMode::BySymbol];
 
 fn generated(seed: u64, density_milli: u16) -> Expr {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -91,7 +87,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Strict machine, CPS transliteration and lazy machine: identical
-    /// answers in all three lookup modes.
+    /// answers in both lookup modes.
     #[test]
     fn pure_engines_agree_across_lookup_modes(seed: u64, density in 0u16..=1000) {
         let program = generated(seed, density);
